@@ -17,13 +17,13 @@ import (
 	"scionmpr/scion"
 )
 
-// The forward workload drives the wire-format forwarding engine, built
-// by NewEngine with only Workers set, over every path between many pairs
-// of a generated ISD: one pre-encoded packet per path at the smallest
-// size (empty payload) and one at the path MTU. About a tenth of the
-// traffic leaves the fast path: tampered hop MACs, one failed transit
-// link (SCMP back to the source) and one gray link that drops half of
-// the packets crossing it.
+// The forward and forward_mtu workloads drive the wire-format forwarding
+// engine, built by NewEngine with only Workers set, over every path
+// between many pairs of a generated ISD: one pre-encoded packet per
+// path, at the smallest size (empty payload) on forward and at the path
+// MTU on forward_mtu. About a tenth of the traffic leaves the fast path:
+// tampered hop MACs, one failed transit link (SCMP back to the source)
+// and one gray link that drops half of the packets crossing it.
 
 const (
 	// fwdTopoSeed fixes the ISD, like flowsTopoSeed: per-packet cost
@@ -80,7 +80,7 @@ type fwdSetup struct {
 	topo      *topology.Graph
 	keys      dataplane.KeyFunc
 	eng       *dataplane.Engine
-	min, mtu  *fwdTrace
+	trace     *fwdTrace
 	failed    topology.LinkID
 	gray      topology.LinkID
 	delivered []atomic.Int64 // per flow ID
@@ -90,7 +90,7 @@ type fwdSetup struct {
 	digest    string
 }
 
-func setupForward(o opts) (*fwdSetup, error) {
+func setupForward(o opts, mtuSized bool) (*fwdSetup, error) {
 	p := fwdSize(o)
 	topo, err := scion.GenerateISDTopology(p.ases, 4, p.cores, fwdTopoSeed)
 	if err != nil {
@@ -147,17 +147,12 @@ func setupForward(o opts) (*fwdSetup, error) {
 	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	s.failed, s.gray = cands[0], cands[1]
 
-	if s.min, err = s.buildTrace(rng, paths, false, 1); err != nil {
-		return nil, err
-	}
-	if s.mtu, err = s.buildTrace(rng, paths, true, uint32(len(paths))+1); err != nil {
+	if s.trace, err = s.buildTrace(rng, paths, mtuSized, 1); err != nil {
 		return nil, err
 	}
 	h := sha256.New()
-	for _, tr := range []*fwdTrace{s.min, s.mtu} {
-		for _, f := range tr.frames {
-			h.Write(f)
-		}
+	for _, f := range s.trace.frames {
+		h.Write(f)
 	}
 	fmt.Fprintf(h, "%d/%d", s.failed, s.gray)
 	s.digest = hex.EncodeToString(h.Sum(nil))[:16]
@@ -169,7 +164,7 @@ func setupForward(o opts) (*fwdSetup, error) {
 
 	s.eng = dataplane.NewEngine(topo, s.keys)
 	s.eng.Workers = runtime.NumCPU()
-	n := 2*len(paths) + 1
+	n := len(paths) + 1
 	s.delivered = make([]atomic.Int64, n)
 	s.scmp = make([]atomic.Int64, n)
 	for _, ia := range ias {
@@ -295,11 +290,11 @@ func (s *fwdSetup) openLoop(rate float64, bursts int, next *int, t *tracer) (lat
 		time.Sleep(time.Until(due))
 		late = append(late, time.Since(due))
 		from := *next
-		to := min(from+fwdBurst, len(s.min.frames))
-		if err := s.inject(s.min, from, to, t); err != nil {
+		to := min(from+fwdBurst, len(s.trace.frames))
+		if err := s.inject(s.trace, from, to, t); err != nil {
 			return nil, nil, err
 		}
-		*next = to % len(s.min.frames)
+		*next = to % len(s.trace.frames)
 		s.flush(t)
 		lat = append(lat, time.Since(due))
 	}
@@ -311,7 +306,7 @@ func (s *fwdSetup) openLoop(rate float64, bursts int, next *int, t *tracer) (lat
 func (s *fwdSetup) verify(r *report) int64 {
 	var mismatched int64
 	var want [3]int64
-	for _, tr := range []*fwdTrace{s.min, s.mtu} {
+	for _, tr := range []*fwdTrace{s.trace} {
 		for i := range tr.frames {
 			n := tr.injected[i]
 			id := tr.firstID + uint32(i)
@@ -336,12 +331,18 @@ func (s *fwdSetup) verify(r *report) int64 {
 	return mismatched
 }
 
-func runForward(o opts, r *report) error {
+func runForward(o opts, r *report) error { return forward(o, r, false) }
+
+func runForwardMTU(o opts, r *report) error { return forward(o, r, true) }
+
+// forward runs one packet size's workload: in each repetition, passes
+// over the trace in the closed loop, then bursts in the open loop.
+func forward(o opts, r *report, mtuSized bool) error {
 	var s *fwdSetup
 	var setups []time.Duration
 	t0 := processStart
 	for i := 0; i < 3; i++ {
-		next, err := setupForward(o)
+		next, err := setupForward(o, mtuSized)
 		if err != nil {
 			return err
 		}
@@ -352,14 +353,14 @@ func runForward(o opts, r *report) error {
 		}
 		s = next
 	}
-	fmt.Printf("forward: %d paths, %.2f hops/path, workers %d, failed link %d, gray link %d, inputs %s\n",
-		len(s.min.frames), s.hops, s.eng.Workers, s.failed, s.gray, s.digest)
+	fmt.Printf("%s: %d paths, %.2f hops/path, workers %d, failed link %d, gray link %d, inputs %s\n",
+		o.workload, len(s.trace.frames), s.hops, s.eng.Workers, s.failed, s.gray, s.digest)
 
 	p := fwdSize(o)
 	total := time.Duration(o.seconds * float64(time.Second))
 	var timed time.Duration
 	var tracedPhases []*phase
-	var minPPS, tracedPPS []float64
+	var pps, tracedPPS, gbps []float64
 	var lat, late []time.Duration
 	var spans []*tracer
 	next := 0
@@ -371,22 +372,16 @@ func runForward(o opts, r *report) error {
 		}
 		ph := startPhase(o.trace)
 		injected0 := s.injected
-		minDurs, err := s.closedLoop(s.min, p.passes, t)
-		if err != nil {
-			return err
-		}
-		mtuDurs, err := s.closedLoop(s.mtu, p.passes, t)
+		durs, err := s.closedLoop(s.trace, p.passes, t)
 		if err != nil {
 			return err
 		}
 		// One throughput sample per pass: the median over many short
 		// passes resists the bursts of CPU a shared host takes away.
-		var pps, gbps []float64
-		for _, d := range minDurs {
-			pps = append(pps, float64(len(s.min.frames))/d.Seconds())
-		}
-		for _, d := range mtuDurs {
-			gbps = append(gbps, float64(s.mtu.payload)*8/d.Seconds()/1e9)
+		var rates []float64
+		for _, d := range durs {
+			rates = append(rates, float64(len(s.trace.frames))/d.Seconds())
+			gbps = append(gbps, float64(s.trace.payload)*8/d.Seconds()/1e9)
 		}
 		l, lt, err := s.openLoop(o.fwdRate, p.bursts, &next, t)
 		if err != nil {
@@ -397,13 +392,12 @@ func runForward(o opts, r *report) error {
 		late = append(late, lt...)
 		if t != nil {
 			tracedPhases = append(tracedPhases, ph)
-			tracedPPS = append(tracedPPS, pps...)
+			tracedPPS = append(tracedPPS, rates...)
 			continue
 		}
-		minPPS = append(minPPS, pps...)
+		pps = append(pps, rates...)
 		r.add("alloc_kb_per_op", "KB", ph.allocMB*1e3/float64(s.injected-injected0))
 		r.add("alloc_mb", "MB", ph.allocMB)
-		r.add("fwd_mtu_gbps", "Gbit/s", gbps...)
 		lat = append(lat, l...)
 	}
 	r.ops(s.injected, s.verify(r))
@@ -423,13 +417,16 @@ func runForward(o opts, r *report) error {
 			}
 			return out
 		}
-		r.overhead(inv(minPPS), inv(tracedPPS))
+		r.overhead(inv(pps), inv(tracedPPS))
 		return nil
 	}
 	r.addSetup(setups)
-	r.add("ops_per_s", "1/s", minPPS...)
+	r.add("ops_per_s", "1/s", pps...)
 	r.add("op_p50_us", "us", durQuantile(lat, 0.5, time.Microsecond))
 	r.add("fwd_burst_p99_us", "us", durQuantile(lat, 0.99, time.Microsecond))
+	if mtuSized {
+		r.add("fwd_mtu_gbps", "Gbit/s", gbps...)
+	}
 	return nil
 }
 
@@ -449,16 +446,18 @@ func fwdLayers(r *report, s *fwdSetup, spans []*tracer, late []time.Duration) {
 
 	t := newTracer()
 	var hdr slayers.SCION
+	var decodeErrs int
 	id := t.begin("slayers.decode")
-	for _, f := range s.min.frames {
-		if err := hdr.DecodeFromBytes(f); err != nil {
-			r.holds("forward.trace_decodes", false, "%v", err)
+	for _, f := range s.trace.frames {
+		if hdr.DecodeFromBytes(f) != nil {
+			decodeErrs++
 		}
 	}
 	t.end(id)
+	r.expect("forward.decode_errors", 0, decodeErrs)
 	hops := 0
 	id = t.begin("dataplane.verify")
-	for _, fp := range s.min.paths {
+	for _, fp := range s.trace.paths {
 		for h := range fp.Hops {
 			_ = fp.Verify(h, s.keys) // tampered hops fail here as in the engine
 			hops++
@@ -466,7 +465,7 @@ func fwdLayers(r *report, s *fwdSetup, spans []*tracer, late []time.Duration) {
 	}
 	t.end(id)
 	ts := summary(t)
-	r.add("slayers.decode_ns", "ns", float64(ts["slayers.decode"].total.Nanoseconds())/float64(len(s.min.frames)))
+	r.add("slayers.decode_ns", "ns", float64(ts["slayers.decode"].total.Nanoseconds())/float64(len(s.trace.frames)))
 	r.add("dataplane.verify_ns", "ns", float64(ts["dataplane.verify"].total.Nanoseconds())/float64(hops))
 
 	st := s.eng.Stats()

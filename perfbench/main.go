@@ -15,7 +15,9 @@
 //	fig5     experiments.RunFig5: topology, core beaconing, intra-ISD
 //	         beaconing and the BGP denominator
 //	flows    flow-level multipath transfer under a link-flap storm
-//	forward  the wire-format forwarding engine, closed and open loop
+//	forward  the wire-format forwarding engine, closed and open loop,
+//	         minimum-size packets
+//	forward_mtu  the same with MTU-size packets
 //	fleet    a replicated path-server fleet: lookups, WAL-journalled
 //	         mutations and follower crash recovery
 //
@@ -51,17 +53,18 @@ type opts struct {
 
 // workloads maps a workload name to its runner.
 var workloads = map[string]func(o opts, r *report) error{
-	"fig5":    runFig5,
-	"flows":   runFlows,
-	"forward": runForward,
-	"fleet":   runFleet,
+	"fig5":        runFig5,
+	"flows":       runFlows,
+	"forward":     runForward,
+	"forward_mtu": runForwardMTU,
+	"fleet":       runFleet,
 }
 
 func main() {
 	var o opts
 	var trace int
 	var heldout int64
-	flag.StringVar(&o.workload, "workload", "", "workload: fig5 | flows | forward | fleet")
+	flag.StringVar(&o.workload, "workload", "", "workload: fig5 | flows | forward | forward_mtu | fleet")
 	flag.Int64Var(&o.seed, "seed", 1, "seed the workload's inputs are generated from")
 	flag.Float64Var(&o.seconds, "seconds", 10, "how long the timed phase runs")
 	flag.IntVar(&trace, "trace", 0, "1: report per-layer metrics from a traced run")

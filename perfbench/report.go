@@ -154,12 +154,23 @@ func (r *report) expect(name string, want, got any) {
 	r.checks = append(r.checks, checkResult{name: name, ok: w == g, detail: detail})
 }
 
-// holds records an output check that is a condition on the outputs.
-func (r *report) holds(name string, ok bool, format string, args ...any) {
+// atLeast records an output check that a count reaches its floor. The
+// check named by --corrupt has its floor raised above the count.
+func (r *report) atLeast(name string, floor, got int64) {
 	if r.o.corrupt == name {
-		ok = !ok
+		floor = got + 1
 	}
-	r.checks = append(r.checks, checkResult{name: name, ok: ok, detail: fmt.Sprintf(format, args...)})
+	r.checks = append(r.checks, checkResult{name: name, ok: got >= floor, detail: fmt.Sprintf("%d >= %d", got, floor)})
+}
+
+// less records an output check that a measured value lies below a
+// reference. The check named by --corrupt has its reference lowered to
+// the value.
+func (r *report) less(name string, got, ref float64, what string) {
+	if r.o.corrupt == name {
+		ref = got
+	}
+	r.checks = append(r.checks, checkResult{name: name, ok: got < ref, detail: fmt.Sprintf("%s: %.4g < %.4g", what, got, ref)})
 }
 
 func (r *report) correct() bool {

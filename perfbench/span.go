@@ -60,6 +60,17 @@ func (t *tracer) span(name string, fn func()) {
 	t.end(id)
 }
 
+// spanCost measures what opening and closing one span costs.
+func spanCost() time.Duration {
+	const n = 1 << 16
+	t := newTracer()
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		t.end(t.begin("calibration"))
+	}
+	return time.Since(start) / n
+}
+
 // spanStats summarises every span of one name.
 type spanStats struct {
 	count int
