@@ -9,15 +9,13 @@ import (
 // benchForward measures single-core forwarding throughput of the wire
 // engine: one pre-encoded packet is injected repeatedly as raw bytes
 // and driven end to end (decode, MAC verify, per-hop forwarding,
-// delivery). Workers is pinned to 1 so pkts/s is per core; the batch
-// variants differ only in BatchSize, which controls whether the MAC
-// path amortizes key schedules and verdicts across a batch.
-func benchForward(b *testing.B, batchSize int, disableMAC bool) {
+// delivery). Workers is pinned to 1 so pkts/s is per core; configure
+// sets the rest.
+func benchForward(b *testing.B, configure func(*Engine)) {
 	e := newEnv(b)
 	eng := NewEngine(e.topo, e.infra.ForwardingKey)
 	eng.Workers = 1
-	eng.BatchSize = batchSize
-	eng.DisableMAC = disableMAC
+	configure(eng)
 
 	var delivered int
 	eng.OnDeliver(a4, func(s *slayers.SCION) { delivered++ })
@@ -63,9 +61,30 @@ func benchForward(b *testing.B, batchSize int, disableMAC bool) {
 	b.ReportMetric(pps*float64(len(e.paths[0].Hops)), "hops/s")
 }
 
+// BenchmarkForward splits batch mode's gain over the naive per-packet
+// baseline into its factors, each one mode apart:
+//
+//	single_mac    per-packet, fresh HMAC key schedule per MAC (baseline)
+//	single_keyed  per-packet, the router's keyed HMAC state: key reuse
+//	batch_nocache batches of 32, keyed state, no verdict cache: batching
+//	batch_mac     batches of 32, keyed state and verdict cache: the cache
+//	default_mac   only Workers set, as perfbench and the differential
+//	              replays build it; must match batch_mac
+//
+// The _nomac modes skip verification and bound what MAC work can cost.
 func BenchmarkForward(b *testing.B) {
-	b.Run("single_mac", func(b *testing.B) { benchForward(b, 1, false) })
-	b.Run("single_nomac", func(b *testing.B) { benchForward(b, 1, true) })
-	b.Run("batch_mac", func(b *testing.B) { benchForward(b, defaultBatchSize, false) })
-	b.Run("batch_nomac", func(b *testing.B) { benchForward(b, defaultBatchSize, true) })
+	batch := func(size int, noMAC bool) func(*Engine) {
+		return func(eng *Engine) { eng.BatchSize, eng.DisableMAC = size, noMAC }
+	}
+	b.Run("single_mac", func(b *testing.B) { benchForward(b, batch(1, false)) })
+	b.Run("single_nomac", func(b *testing.B) { benchForward(b, batch(1, true)) })
+	b.Run("batch_mac", func(b *testing.B) { benchForward(b, batch(defaultBatchSize, false)) })
+	b.Run("batch_nomac", func(b *testing.B) { benchForward(b, batch(defaultBatchSize, true)) })
+	b.Run("default_mac", func(b *testing.B) { benchForward(b, func(*Engine) {}) })
+	b.Run("single_keyed", func(b *testing.B) {
+		benchForward(b, func(eng *Engine) { eng.BatchSize, eng.keyedSingle = 1, true })
+	})
+	b.Run("batch_nocache", func(b *testing.B) {
+		benchForward(b, func(eng *Engine) { eng.BatchSize, eng.noVerdictCache = defaultBatchSize, true })
+	})
 }

@@ -42,6 +42,8 @@ type WireSCMPMsg struct {
 }
 
 // WireSCMPFunc receives SCMP messages arriving back at the sender AS.
+// The message is worker scratch, reused when the handler returns: copy
+// anything retained.
 type WireSCMPFunc func(m *WireSCMPMsg)
 
 // wireSCMPType maps the dataplane SCMP enum onto the wire code.
@@ -85,9 +87,11 @@ type Engine struct {
 	// benchmarks measure per-core throughput cleanly).
 	Workers int
 	// BatchSize is how many frames a worker drains from one ring per
-	// batch (default 32). BatchSize <= 1 selects per-packet mode: each
-	// MAC is verified with a fresh HMAC key schedule and no shared
-	// state — the naive baseline batch mode is measured against.
+	// batch. Zero (or negative) means the default of 32, verified with
+	// the router's own keyed HMAC state and verdict cache. Exactly 1
+	// selects per-packet mode: each MAC is verified with a fresh HMAC
+	// key schedule and no cache — the naive baseline batch mode is
+	// measured against.
 	BatchSize int
 	// DisableMAC skips hop-field verification (for measuring the MAC
 	// share of forwarding cost; never set in differential runs).
@@ -113,6 +117,15 @@ type Engine struct {
 	// duration of a Flush (ownership is a pure function of the AS index
 	// and the worker count, so it never migrates mid-flush).
 	verifiers []macVerifier
+	// workers[i] is worker i's scratch, kept across flushes so a warmed
+	// engine forwards without allocating.
+	workers []*workerCtx
+
+	// Test hooks splitting batch mode's gain into its factors:
+	// keyedSingle makes per-packet mode verify with the router's keyed
+	// state (no verdict cache) instead of a fresh key schedule, and
+	// noVerdictCache makes batch mode skip the verdict cache.
+	keyedSingle, noVerdictCache bool
 
 	// Fault state, indexed by LinkID (dense: IDs are sequential from 1).
 	failed  []atomic.Bool
@@ -381,15 +394,21 @@ func (e *Engine) Flush() {
 	if e.LossFunc == nil {
 		e.LossFunc = HashLoss(e.Seed)
 	}
-	w := e.Workers
-	if w < 1 {
-		w = 1
+	bs := e.BatchSize
+	if bs < 1 {
+		bs = defaultBatchSize
 	}
-	if w > len(e.ias) {
-		w = len(e.ias)
+	w := min(max(e.Workers, 1), len(e.ias))
+	if len(e.workers) < w {
+		e.workers = append(e.workers, make([]*workerCtx, w-len(e.workers))...)
+	}
+	for i, ctx := range e.workers[:w] {
+		if ctx == nil || ctx.bs != bs {
+			e.workers[i] = newWorkerCtx(bs)
+		}
 	}
 	if w == 1 {
-		e.runWorker(0, 1)
+		e.runWorker(0, 1, e.workers[0])
 		return
 	}
 	var wg sync.WaitGroup
@@ -397,7 +416,7 @@ func (e *Engine) Flush() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e.runWorker(i, w)
+			e.runWorker(i, w, e.workers[i])
 		}(i)
 	}
 	wg.Wait()
@@ -406,6 +425,7 @@ func (e *Engine) Flush() {
 // workerCtx holds one worker's scratch so the steady state allocates
 // nothing per packet.
 type workerCtx struct {
+	bs    int // resolved batch size: 1 is per-packet mode
 	batch []*frame
 	ss    []slayers.SCION // decode scratch, one per batch slot
 	hfs   []slayers.HopField
@@ -414,17 +434,12 @@ type workerCtx struct {
 	ok    []bool
 	live  []bool        // slot still in play after verification
 	quote slayers.SCION // SCMP quote decode scratch
+	msg   WireSCMPMsg   // SCMP handler argument scratch
 }
 
-func (e *Engine) runWorker(w, nw int) {
-	bs := e.BatchSize
-	if bs < 1 {
-		bs = 1
-	}
-	if e.BatchSize == 0 {
-		bs = defaultBatchSize
-	}
-	ctx := &workerCtx{
+func newWorkerCtx(bs int) *workerCtx {
+	return &workerCtx{
+		bs:    bs,
 		batch: make([]*frame, 0, bs),
 		ss:    make([]slayers.SCION, bs),
 		hfs:   make([]slayers.HopField, bs),
@@ -433,13 +448,16 @@ func (e *Engine) runWorker(w, nw int) {
 		ok:    make([]bool, bs),
 		live:  make([]bool, bs),
 	}
+}
+
+func (e *Engine) runWorker(w, nw int, ctx *workerCtx) {
 	for {
 		progress := false
 		for a := w; a < len(e.rings); a += nw {
 			r := e.rings[a]
 			for {
 				ctx.batch = ctx.batch[:0]
-				for len(ctx.batch) < bs {
+				for len(ctx.batch) < ctx.bs {
 					f := r.pop()
 					if f == nil {
 						break
@@ -488,7 +506,7 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 			continue
 		}
 		if s.NextHdr == slayers.NextHdrSCMP {
-			e.scmpWalkStep(a, f, s, &ctx.quote)
+			e.scmpWalkStep(a, f, s, ctx)
 			continue
 		}
 		if s.PathType != slayers.PathTypeSCION {
@@ -522,7 +540,7 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 
 	if len(ctx.jobs) > 0 {
 		key := e.keys[a]
-		if e.BatchSize <= 1 {
+		if ctx.bs == 1 && !e.keyedSingle {
 			// Per-packet mode: the naive baseline — fresh key schedule
 			// per MAC, no shared state, no verdict cache.
 			for j, job := range ctx.jobs {
@@ -531,7 +549,8 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 			}
 		} else {
 			okScratch := ctx.ok[:len(ctx.jobs)]
-			e.verifiers[a].verifyBatch(key, local, ctx.jobs, okScratch)
+			cache := ctx.bs > 1 && !e.noVerdictCache
+			e.verifiers[a].verifyBatch(key, local, ctx.jobs, okScratch, cache)
 			// Scatter job verdicts back to batch slots (in place is safe:
 			// job j's slot index jmap[j] >= j).
 			for j := len(ctx.jobs) - 1; j >= 0; j-- {
@@ -548,7 +567,7 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 		if !ctx.ok[i] {
 			e.droppedBadMAC.Add(1)
 			if f.arrived {
-				e.emitSCMP(a, s, SCMPBadMAC, seg.LinkKey{})
+				e.emitSCMP(a, s, SCMPBadMAC, seg.LinkKey{}, ctx)
 			}
 			// At the source AS the drop is silent, as in the Fabric.
 			e.terminal(f)
@@ -562,7 +581,7 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 			e.terminal(f)
 			continue
 		}
-		e.egressStep(a, f, s, ctx.hfs[i])
+		e.egressStep(a, f, s, ctx.hfs[i], ctx)
 	}
 }
 
@@ -575,18 +594,18 @@ func combinatorHop(ia addr.IA, in, out addr.IfID) combinator.Hop {
 // mirroring Fabric.forwardFrom: unknown interface drops with a
 // destination-unreachable SCMP, a failed link revokes, gray loss sheds
 // silently, otherwise the frame moves to the neighbor's ingress ring.
-func (e *Engine) egressStep(a int32, f *frame, s *slayers.SCION, hf slayers.HopField) {
+func (e *Engine) egressStep(a int32, f *frame, s *slayers.SCION, hf slayers.HopField, ctx *workerCtx) {
 	ent := e.lookupIf(a, hf.ConsEgress)
 	if ent.link == nil {
 		e.droppedNoRoute.Add(1)
-		e.emitSCMP(a, s, SCMPDestUnreachable, seg.LinkKey{})
+		e.emitSCMP(a, s, SCMPDestUnreachable, seg.LinkKey{}, ctx)
 		e.terminal(f)
 		return
 	}
 	local := e.ias[a]
 	if e.failed[ent.link.ID].Load() {
 		e.revocations.Add(1)
-		e.emitSCMP(a, s, SCMPRevokedLink, seg.LinkKey{IA: local, If: hf.ConsEgress})
+		e.emitSCMP(a, s, SCMPRevokedLink, seg.LinkKey{IA: local, If: hf.ConsEgress}, ctx)
 		e.terminal(f)
 		return
 	}
@@ -607,14 +626,15 @@ func (e *Engine) egressStep(a int32, f *frame, s *slayers.SCION, hf slayers.HopF
 // starts it on the walk back toward the original sender. A failure at
 // the source AS (CurrHF 0) delivers locally without building a frame,
 // as in Fabric.emitSCMP.
-func (e *Engine) emitSCMP(a int32, orig *slayers.SCION, typ SCMPType, link seg.LinkKey) {
+func (e *Engine) emitSCMP(a int32, orig *slayers.SCION, typ SCMPType, link seg.LinkKey, ctx *workerCtx) {
 	local := e.ias[a]
 	if orig.CurrHF == 0 {
 		if fn := e.scmp[a]; fn != nil {
-			fn(&WireSCMPMsg{
+			ctx.msg = WireSCMPMsg{
 				Type: typ, Link: link, Offender: local,
 				FlowID: orig.FlowID, SrcIA: orig.SrcIA, DstIA: orig.DstIA,
-			})
+			}
+			fn(&ctx.msg)
 		}
 		return
 	}
@@ -662,7 +682,8 @@ func (e *Engine) emitSCMP(a int32, orig *slayers.SCION, typ SCMPType, link seg.L
 // the quoted hop's ingress interface with WalkIdx decremented in
 // place. SCMP messages are never subject to MAC checks, failures, or
 // loss, matching the Fabric.
-func (e *Engine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, quote *slayers.SCION) {
+func (e *Engine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, ctx *workerCtx) {
+	quote := &ctx.quote
 	var m slayers.SCMP
 	if err := m.DecodeFromBytes(s.Payload()); err != nil {
 		e.droppedMalformed.Add(1)
@@ -676,14 +697,15 @@ func (e *Engine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, quote *slayer
 	}
 	if m.WalkIdx == 0 {
 		if fn := e.scmp[a]; fn != nil {
-			fn(&WireSCMPMsg{
+			ctx.msg = WireSCMPMsg{
 				Type:     scmpTypeFromWire(m.Type),
 				Link:     seg.LinkKey{IA: m.LinkIA, If: m.LinkIf},
 				Offender: m.Offender,
 				FlowID:   quote.FlowID,
 				SrcIA:    quote.SrcIA,
 				DstIA:    quote.DstIA,
-			})
+			}
+			fn(&ctx.msg)
 		}
 		e.terminal(f)
 		return

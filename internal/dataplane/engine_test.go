@@ -8,6 +8,7 @@ import (
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/chaos"
+	"scionmpr/internal/combinator"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/slayers"
 	"scionmpr/internal/telemetry"
@@ -271,40 +272,167 @@ func TestEngineWorkersAndModes(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		batch   int
+		batch   int // 0: left unset, the default batch mode
 		noMAC   bool
+		tamper  bool // corrupt a transit MAC on every fifth packet
 	}{
-		{"w1-batch", 1, 32, false},
-		{"w4-batch", 4, 8, false},
-		{"w2-single", 2, 1, false},
-		{"w1-nomac", 1, 32, true},
+		{"w1-default", 1, 0, false, false},
+		{"w2-default", 2, 0, false, false},
+		{"w1-default-tamper", 1, 0, false, true},
+		{"w2-default-tamper", 2, 0, false, true},
+		{"w1-batch", 1, 32, false, false},
+		{"w4-batch", 4, 8, false, false},
+		{"w4-batch-tamper", 4, 8, false, true},
+		{"w2-single", 2, 1, false, false},
+		{"w2-single-tamper", 2, 1, false, true},
+		{"w1-nomac", 1, 32, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, eng := newWireEnv(t)
 			eng.Workers = tc.workers
 			eng.BatchSize = tc.batch
 			eng.DisableMAC = tc.noMAC
-			total := 200
-			var delivered atomic.Int64
+			bad := &FwdPath{Hops: append([]HopField(nil), e.paths[0].Hops...), MTU: e.paths[0].MTU}
+			bad.Hops[1].MAC[2] ^= 0x10
+			total, tampered := 200, 0
+			var delivered, scmps atomic.Int64
 			eng.OnDeliver(a4, func(s *slayers.SCION) { delivered.Add(1) })
+			eng.OnSCMP(a6, func(m *WireSCMPMsg) {
+				if m.Type == SCMPBadMAC {
+					scmps.Add(1)
+				}
+			})
 			for i := 0; i < total; i++ {
-				if err := eng.Inject(testPacket(e, 0, []byte("n"), uint32(i))); err != nil {
+				pkt := testPacket(e, 0, []byte("n"), uint32(i))
+				if tc.tamper && i%5 == 0 {
+					pkt.Path = bad
+					tampered++
+				}
+				if err := eng.Inject(pkt); err != nil {
 					t.Fatal(err)
 				}
 			}
 			eng.Flush()
-			if delivered.Load() != int64(total) {
-				t.Fatalf("delivered %d of %d", delivered.Load(), total)
+			want := int64(total - tampered)
+			if delivered.Load() != want || scmps.Load() != int64(tampered) {
+				t.Fatalf("delivered %d of %d, %d bad-MAC SCMPs for %d tampered",
+					delivered.Load(), want, scmps.Load(), tampered)
 			}
 			st := eng.Stats()
-			if st.Delivered != uint64(total) {
+			if st.Delivered != uint64(want) || st.DroppedBadMAC != uint64(tampered) {
 				t.Errorf("stats %+v", st)
 			}
-			if tc.batch > 1 && st.Batches == 0 {
+			if st.Batches == 0 {
 				t.Error("no batches counted")
+			}
+			// Every mode but per-packet verifies with the router's own
+			// keyed state; per-packet mode never builds it.
+			keyed := eng.verifiers[eng.idx[a6]].mac != nil
+			if wantKeyed := !tc.noMAC && tc.batch != 1; keyed != wantKeyed {
+				t.Errorf("source router keyed state built = %v, want %v", keyed, wantKeyed)
 			}
 		})
 	}
+}
+
+// TestEngineForwardZeroAlloc holds the default forwarding path — an
+// engine built by NewEngine with only Workers set, MAC verification on
+// — to zero allocations once warm: inject a batch of raw frames over
+// every test path, tampered ones included, and Flush.
+func TestEngineForwardZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops frames at random under -race")
+	}
+	e, eng := newWireEnv(t)
+	eng.Workers = 1
+	var delivered, scmps int
+	eng.OnDeliver(a4, func(s *slayers.SCION) { delivered++ })
+	eng.OnSCMP(a6, func(m *WireSCMPMsg) { scmps++ })
+	var frames [][]byte
+	var mtus []uint16
+	for i, fp := range e.paths {
+		for _, tamper := range []bool{false, true} {
+			if tamper {
+				fp = &FwdPath{Hops: append([]HopField(nil), fp.Hops...), MTU: fp.MTU}
+				fp.Hops[len(fp.Hops)-1].MAC[0] ^= 1
+			}
+			pkt := testPacket(e, i, make([]byte, 64), uint32(len(frames)))
+			pkt.Path = fp
+			buf := make([]byte, pkt.WireLen())
+			var s slayers.SCION
+			if _, err := EncodePacket(&s, pkt, buf); err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, buf)
+			mtus = append(mtus, fp.MTU)
+		}
+	}
+	run := func() {
+		for i, f := range frames {
+			if err := eng.InjectBytes(f, mtus[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Flush()
+	}
+	run()
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, run); allocs != 0 {
+		t.Errorf("warmed inject+Flush of %d frames allocates %v times", len(frames), allocs)
+	}
+	if want := (runs + 2) * len(e.paths); delivered != want || scmps != want {
+		t.Errorf("delivered %d, %d SCMPs; want %d each", delivered, scmps, want)
+	}
+}
+
+// TestVerdictCacheBound drives more than macCacheLimit distinct
+// (ingress, egress, MAC) tuples through one verifier: the verdict
+// cache never holds more than macCacheLimit entries, and verdicts stay
+// right across the resets, including one in the middle of a batch.
+func TestVerdictCacheBound(t *testing.T) {
+	key := []byte("verdict-cache-bound-key")
+	var v macVerifier
+	// tuple i: a distinct interface pair; every fourth MAC is tampered.
+	tuple := func(i int) (macJob, bool) {
+		h := combinator.Hop{IA: a2, In: addr.IfID(i%1024 + 1), Out: addr.IfID(i/1024 + 1)}
+		mac := hopMAC(key, h)
+		valid := i%4 != 0
+		if !valid {
+			mac[i%MACLen] ^= 0x80
+		}
+		return macJob{in: h.In, out: h.Out, mac: mac}, valid
+	}
+	verify := func(from, n int) {
+		t.Helper()
+		jobs := make([]macJob, n)
+		want := make([]bool, n)
+		for k := range jobs {
+			jobs[k], want[k] = tuple(from + k)
+		}
+		ok := make([]bool, n)
+		v.verifyBatch(key, a2, jobs, ok, true)
+		for k := range jobs {
+			if ok[k] != want[k] {
+				t.Fatalf("tuple %d: verdict %v, want %v", from+k, ok[k], want[k])
+			}
+		}
+		if len(v.verdicts) > macCacheLimit {
+			t.Fatalf("verdict cache holds %d entries, limit %d", len(v.verdicts), macCacheLimit)
+		}
+	}
+	// One insert per call, so the bound is checked after every insert;
+	// the stream resets the cache twice and leaves it 10 short of full.
+	n := 3*macCacheLimit - 10
+	for i := 0; i < n; i++ {
+		verify(i, 1)
+	}
+	if len(v.verdicts) != macCacheLimit-10 {
+		t.Fatalf("cache holds %d entries after %d inserts, want %d", len(v.verdicts), n, macCacheLimit-10)
+	}
+	// A batch that overflows the cache part way through, then one of
+	// tuples the resets evicted: both are checked afresh.
+	verify(n, 32)
+	verify(0, 32)
 }
 
 func TestEngineChaosSchedule(t *testing.T) {

@@ -41,19 +41,22 @@ func FuzzHopFieldMAC(f *testing.F) {
 		}
 		ok := make([]bool, len(jobs))
 		var v macVerifier
-		v.verifyBatch(key, ia, jobs, ok)
+		v.verifyBatch(key, ia, jobs, ok, true)
 		if !ok[0] || !ok[2] {
 			t.Fatalf("batch verifier rejected genuine MAC (ok=%v)", ok)
 		}
 		if ok[1] {
 			t.Fatalf("batch verifier accepted tampered MAC %x (genuine %x)", bad, m1)
 		}
-		// Re-verify through the warmed verdict cache: same answers.
-		ok2 := make([]bool, len(jobs))
-		v.verifyBatch(key, ia, jobs, ok2)
-		for i := range ok {
-			if ok[i] != ok2[i] {
-				t.Fatalf("verdict cache changed answer %d: %v -> %v", i, ok[i], ok2[i])
+		// Re-verify through the warmed verdict cache and without it:
+		// same answers.
+		for _, cache := range []bool{true, false} {
+			ok2 := make([]bool, len(jobs))
+			v.verifyBatch(key, ia, jobs, ok2, cache)
+			for i := range ok {
+				if ok[i] != ok2[i] {
+					t.Fatalf("cache=%v changed answer %d: %v -> %v", cache, i, ok[i], ok2[i])
+				}
 			}
 		}
 	})

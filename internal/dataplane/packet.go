@@ -81,8 +81,8 @@ func hopMAC(key []byte, h combinator.Hop) [MACLen]byte {
 
 // hopMACUncached recomputes the HMAC from scratch — fresh key schedule,
 // no shared state. This is the naive per-packet baseline the batched
-// engine's single-packet mode uses; batch mode amortizes the keyed
-// state and the lock over whole batches instead (see macVerifier).
+// engine's single-packet mode uses; batch mode keeps one keyed state
+// per router instead (see macVerifier).
 func hopMACUncached(key []byte, h combinator.Hop) [MACLen]byte {
 	var buf [12]byte
 	macInput(&buf, h)
@@ -95,17 +95,23 @@ func hopMACUncached(key []byte, h combinator.Hop) [MACLen]byte {
 }
 
 // macVerifier verifies hop field MACs for one border router draining
-// batches. All hops a router verifies use its own AS key, so a batch
-// needs exactly one keyed-state acquisition from the shared cache
-// (locked once per batch, not once per packet), and identical hop
-// fields across packets of the batch — the common case when many flows
-// share a path — collapse into a small router-owned verdict cache.
-// The verifier is owned by a single worker; only the macStates access
-// inside verifyBatch touches shared state.
+// batches. All hops a router verifies use its own AS key, so the
+// verifier keeps that key's HMAC state (Reset restores the pads without
+// re-keying), and identical hop fields across packets — the common case
+// when many flows share a path — collapse into a small verdict cache.
+// The verifier is owned by the single worker that owns its AS, so it
+// touches no shared state and takes no lock.
 type macVerifier struct {
+	mac hash.Hash // keyed with the AS key on first use
+	// buf and sum are the MAC input and output scratch; they live here
+	// because passing stack arrays through the hash.Hash interface
+	// would move them to the heap on every call.
+	buf [12]byte
+	sum [sha256.Size]byte
 	// verdicts caches (ingress, egress, mac) -> valid for this AS key.
 	// Entries are pure functions of the key, so the cache never needs
-	// invalidation, only bounding.
+	// invalidation, only bounding: it is cleared when an insert would
+	// take it past macCacheLimit.
 	verdicts map[[10]byte]bool
 }
 
@@ -127,44 +133,38 @@ type macJob struct {
 }
 
 // verifyBatch verifies jobs for the AS ia under key, writing verdicts
-// into ok (len(ok) == len(jobs)). One lock acquisition per call.
-func (v *macVerifier) verifyBatch(key []byte, ia addr.IA, jobs []macJob, ok []bool) {
-	if v.verdicts == nil {
+// into ok (len(ok) == len(jobs)). With cache unset every MAC is
+// recomputed with the keyed state.
+func (v *macVerifier) verifyBatch(key []byte, ia addr.IA, jobs []macJob, ok []bool, cache bool) {
+	if v.mac == nil {
+		v.mac = hmac.New(sha256.New, key)
 		v.verdicts = make(map[[10]byte]bool, 64)
 	}
-	var misses []int
 	for i, j := range jobs {
-		if verdict, hit := v.verdicts[verdictKey(j.in, j.out, j.mac)]; hit {
-			ok[i] = verdict
-		} else {
-			misses = append(misses, i)
+		if !cache {
+			ok[i] = v.check(ia, j)
+			continue
 		}
+		k := verdictKey(j.in, j.out, j.mac)
+		verdict, hit := v.verdicts[k]
+		if !hit {
+			verdict = v.check(ia, j)
+			if len(v.verdicts) >= macCacheLimit {
+				clear(v.verdicts)
+			}
+			v.verdicts[k] = verdict
+		}
+		ok[i] = verdict
 	}
-	if len(misses) == 0 {
-		return
-	}
-	if len(v.verdicts) > macCacheLimit {
-		v.verdicts = make(map[[10]byte]bool, 64)
-	}
-	macStates.Lock()
-	m := macStates.m[string(key)]
-	if m == nil {
-		m = hmac.New(sha256.New, key)
-		macStates.m[string(key)] = m
-	}
-	var buf [12]byte
-	var sum [sha256.Size]byte
-	for _, i := range misses {
-		j := jobs[i]
-		macInput(&buf, combinator.Hop{IA: ia, In: j.in, Out: j.out})
-		m.Reset()
-		m.Write(buf[:])
-		got := m.Sum(sum[:0])
-		valid := hmac.Equal(got[:MACLen], j.mac[:])
-		ok[i] = valid
-		v.verdicts[verdictKey(j.in, j.out, j.mac)] = valid
-	}
-	macStates.Unlock()
+}
+
+// check recomputes one hop field's MAC with the keyed state.
+func (v *macVerifier) check(ia addr.IA, j macJob) bool {
+	macInput(&v.buf, combinator.Hop{IA: ia, In: j.in, Out: j.out})
+	v.mac.Reset()
+	v.mac.Write(v.buf[:])
+	got := v.mac.Sum(v.sum[:0])
+	return hmac.Equal(got[:MACLen], j.mac[:])
 }
 
 // Authorize stamps a combinator path into a forwarding path: each AS's
