@@ -13,23 +13,23 @@
 // schedule entries: interval ticks, configured failures, and the chaos
 // plan (a pure function of its seed).
 //
-// The wire format reuses the path-server WAL's framing discipline: each
-// section is a frame of u32 payload length, u32 CRC-32 (IEEE) of the
-// payload, then the payload, all big-endian, in fixed section order
-// (header, network, one section per server in Topo.IAs() order, then the
-// chaos section iff the run has a chaos schedule).
+// The wire format is a sequence of frames of internal/codec, which owns
+// the framing (u32 payload length, u32 CRC-32 (IEEE) of the payload,
+// then the payload, all big-endian), in fixed section order: header, network, one section per
+// server in Topo.IAs() order, then the chaos section iff the run has a
+// chaos schedule. Section payloads are read with codec.Reader.
 package beacon
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
 	"time"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/chaos"
+	"scionmpr/internal/codec"
 	"scionmpr/internal/core"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
@@ -40,106 +40,6 @@ const (
 	snapMagic   = 0x4D505243 // "MPRC"
 	snapVersion = 1
 )
-
-// appendFrame wraps payload in the WAL framing (length, CRC, payload).
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
-}
-
-// snapReader walks a snapshot's frames and payload fields with sticky
-// errors.
-type snapReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *snapReader) fail(format string, args ...interface{}) {
-	if r.err == nil {
-		r.err = fmt.Errorf("beacon: snapshot "+format, args...)
-	}
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail("truncated at offset %d (need %d of %d)", r.off, n, len(r.b))
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *snapReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *snapReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *snapReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *snapReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *snapReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("beacon: snapshot section has %d trailing bytes", len(r.b)-r.off)
-	}
-	return nil
-}
-
-// frames splits a snapshot into its CRC-verified section payloads.
-func frames(b []byte) ([][]byte, error) {
-	var out [][]byte
-	off := 0
-	for off < len(b) {
-		if off+8 > len(b) {
-			return nil, fmt.Errorf("beacon: snapshot frame header truncated at offset %d", off)
-		}
-		n := int(binary.BigEndian.Uint32(b[off:]))
-		sum := binary.BigEndian.Uint32(b[off+4:])
-		off += 8
-		if off+n > len(b) {
-			return nil, fmt.Errorf("beacon: snapshot frame payload truncated at offset %d (need %d)", off, n)
-		}
-		payload := b[off : off+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("beacon: snapshot frame at offset %d fails CRC", off-8)
-		}
-		out = append(out, payload)
-		off += n
-	}
-	return out, nil
-}
 
 // checkpointSupported rejects configurations whose fingerprint folds in
 // cumulative observer state a resumed run cannot reproduce.
@@ -220,40 +120,46 @@ func appendNetworkState(dst []byte, st sim.NetworkState) []byte {
 	return dst
 }
 
-func readNetworkState(r *snapReader) sim.NetworkState {
+// readNetworkState decodes a network section, rejecting any section
+// that does not decode exactly.
+func readNetworkState(b []byte) (sim.NetworkState, error) {
+	r := codec.NewReader(b)
 	var st sim.NetworkState
-	n := int(r.u32())
+	n := r.Count(8 + 2 + 4*8)
 	st.Counters = make(map[sim.IfKey]sim.Counter, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		k := sim.IfKey{IA: addr.IAFromUint64(r.u64()), If: addr.IfID(r.u16())}
+	for i := 0; i < n; i++ {
+		k := sim.IfKey{IA: addr.IAFromUint64(r.U64()), If: addr.IfID(r.U16())}
 		st.Counters[k] = sim.Counter{
-			TxBytes: r.u64(), TxMsgs: r.u64(),
-			RxBytes: r.u64(), RxMsgs: r.u64(),
+			TxBytes: r.U64(), TxMsgs: r.U64(),
+			RxBytes: r.U64(), RxMsgs: r.U64(),
 		}
 	}
-	n = int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		st.Failed = append(st.Failed, topology.LinkID(r.u32()))
+	n = r.Count(4)
+	for i := 0; i < n; i++ {
+		st.Failed = append(st.Failed, topology.LinkID(r.U32()))
 	}
-	n = int(r.u32())
+	n = r.Count(4 + 8)
 	st.Delays = make(map[topology.LinkID]time.Duration, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		id := topology.LinkID(r.u32())
-		st.Delays[id] = time.Duration(r.u64())
+	for i := 0; i < n; i++ {
+		id := topology.LinkID(r.U32())
+		st.Delays[id] = time.Duration(r.U64())
 	}
-	n = int(r.u32())
+	n = r.Count(4 + 8)
 	st.Loss = make(map[topology.LinkID]float64, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		id := topology.LinkID(r.u32())
-		st.Loss[id] = math.Float64frombits(r.u64())
+	for i := 0; i < n; i++ {
+		id := topology.LinkID(r.U32())
+		st.Loss[id] = math.Float64frombits(r.U64())
 	}
-	st.LossSeeded = r.u8() != 0
-	st.LossSeed = int64(r.u64())
-	st.LossDraws = r.u64()
-	st.Dropped = r.u64()
-	st.DroppedOnFailedLinks = r.u64()
-	st.DroppedByLoss = r.u64()
-	return st
+	st.LossSeeded = r.U8() != 0
+	st.LossSeed = int64(r.U64())
+	st.LossDraws = r.U64()
+	st.Dropped = r.U64()
+	st.DroppedOnFailedLinks = r.U64()
+	st.DroppedByLoss = r.U64()
+	if err := r.Done(); err != nil {
+		return sim.NetworkState{}, fmt.Errorf("beacon: snapshot network section: %w", err)
+	}
+	return st, nil
 }
 
 // appendServerState serializes one server: identity, stats, the beacon
@@ -301,28 +207,29 @@ func appendServerState(dst []byte, srv *Server, now sim.Time) []byte {
 
 // restoreServerState applies one server section. The section's IA must
 // match the server's (both follow Topo.IAs() order).
-func restoreServerState(r *snapReader, srv *Server) error {
-	ia := addr.IAFromUint64(r.u64())
-	if r.err == nil && ia != srv.cfg.Local {
+func restoreServerState(b []byte, srv *Server) error {
+	r := codec.NewReader(b)
+	ia := addr.IAFromUint64(r.U64())
+	if r.Err() == nil && ia != srv.cfg.Local {
 		return fmt.Errorf("beacon: snapshot server section for %v, want %v (topology mismatch?)", ia, srv.cfg.Local)
 	}
-	srv.segID = r.u16()
-	srv.down = r.u8() != 0
-	srv.Originated = r.u64()
-	srv.Propagated = r.u64()
-	srv.Received = r.u64()
-	srv.Rejected = r.u64()
-	srv.DroppedWhileDown = r.u64()
+	srv.segID = r.U16()
+	srv.down = r.U8() != 0
+	srv.Originated = r.U64()
+	srv.Propagated = r.U64()
+	srv.Received = r.U64()
+	srv.Rejected = r.U64()
+	srv.DroppedWhileDown = r.U64()
 
-	nOrigins := int(r.u32())
-	for i := 0; i < nOrigins && r.err == nil; i++ {
-		r.u64() // origin — implied by the entries themselves
-		nEntries := int(r.u32())
-		for j := 0; j < nEntries && r.err == nil; j++ {
-			enc := r.take(int(r.u32()))
-			ingress := addr.IfID(r.u16())
-			receivedAt := sim.Time(r.u64())
-			if r.err != nil {
+	nOrigins := r.Count(8 + 4)
+	for i := 0; i < nOrigins; i++ {
+		r.U64() // origin — implied by the entries themselves
+		nEntries := r.Count(4 + 2 + 8)
+		for j := 0; j < nEntries; j++ {
+			enc := r.Bytes(int(r.U32()))
+			ingress := addr.IfID(r.U16())
+			receivedAt := sim.Time(r.U64())
+			if r.Err() != nil {
 				break
 			}
 			pcb, err := seg.Decode(enc)
@@ -335,8 +242,8 @@ func restoreServerState(r *snapReader, srv *Server) error {
 		}
 	}
 
-	blob := r.take(int(r.u32()))
-	if r.err == nil && len(blob) > 0 {
+	blob := r.Bytes(int(r.U32()))
+	if len(blob) > 0 {
 		cp, ok := srv.cfg.Selector.(core.Checkpointer)
 		if !ok {
 			return fmt.Errorf("beacon: snapshot has selector state for %v but selector %q cannot restore it", srv.cfg.Local, srv.cfg.Selector.Name())
@@ -345,7 +252,10 @@ func restoreServerState(r *snapReader, srv *Server) error {
 			return err
 		}
 	}
-	return r.done()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("beacon: snapshot server section for %v: %w", srv.cfg.Local, err)
+	}
+	return nil
 }
 
 // capture builds the full snapshot at simulated time now. Must run in
@@ -366,13 +276,13 @@ func (a *runActors) capture(cfg RunConfig, eng *chaos.Engine, now sim.Time) ([]b
 	} else {
 		header = append(header, 0)
 	}
-	snap := appendFrame(nil, header)
-	snap = appendFrame(snap, appendNetworkState(nil, a.net.CheckpointState()))
+	snap := codec.AppendFrame(nil, header)
+	snap = codec.AppendFrame(snap, appendNetworkState(nil, a.net.CheckpointState()))
 	for _, ia := range ias {
-		snap = appendFrame(snap, appendServerState(nil, a.servers[ia], now))
+		snap = codec.AppendFrame(snap, appendServerState(nil, a.servers[ia], now))
 	}
 	if eng != nil {
-		snap = appendFrame(snap, eng.AppendState(nil))
+		snap = codec.AppendFrame(snap, eng.AppendState(nil))
 	}
 	return snap, nil
 }
@@ -435,26 +345,31 @@ func Resume(cfg RunConfig, snapshot []byte) (*RunResult, error) {
 	if err := checkpointSupported(cfg); err != nil {
 		return nil, err
 	}
-	secs, err := frames(snapshot)
-	if err != nil {
-		return nil, err
+	var secs [][]byte
+	for rest := snapshot; len(rest) > 0; {
+		sec, next, err := codec.NextFrame(rest)
+		if err != nil {
+			return nil, fmt.Errorf("beacon: snapshot frame at offset %d: %w", len(snapshot)-len(rest), err)
+		}
+		secs = append(secs, sec)
+		rest = next
 	}
 	if len(secs) < 2 {
 		return nil, fmt.Errorf("beacon: snapshot has %d sections, want at least header and network", len(secs))
 	}
-	h := &snapReader{b: secs[0]}
-	if magic := h.u32(); h.err == nil && magic != snapMagic {
+	h := codec.NewReader(secs[0])
+	if magic := h.U32(); h.Err() == nil && magic != snapMagic {
 		return nil, fmt.Errorf("beacon: snapshot magic %#x, want %#x", magic, snapMagic)
 	}
-	if v := h.u16(); h.err == nil && v != snapVersion {
+	if v := h.U16(); h.Err() == nil && v != snapVersion {
 		return nil, fmt.Errorf("beacon: snapshot version %d, want %d", v, snapVersion)
 	}
-	now := sim.Time(h.u64())
-	executed := h.u64()
-	numServers := int(h.u32())
-	hasChaos := h.u8() != 0
-	if err := h.done(); err != nil {
-		return nil, err
+	now := sim.Time(h.U64())
+	executed := h.U64()
+	numServers := int(h.U32())
+	hasChaos := h.U8() != 0
+	if err := h.Done(); err != nil {
+		return nil, fmt.Errorf("beacon: snapshot header: %w", err)
 	}
 	if hasChaos != (cfg.Chaos != nil) {
 		return nil, fmt.Errorf("beacon: snapshot chaos presence (%v) disagrees with config (%v)", hasChaos, cfg.Chaos != nil)
@@ -479,9 +394,13 @@ func Resume(cfg RunConfig, snapshot []byte) (*RunResult, error) {
 		return nil, fmt.Errorf("beacon: snapshot time %v beyond run duration %v", time.Duration(now), cfg.Duration)
 	}
 	a.s.Restore(now, executed)
-	a.net.RestoreState(readNetworkState(&snapReader{b: secs[1]}))
+	st, err := readNetworkState(secs[1])
+	if err != nil {
+		return nil, err
+	}
+	a.net.RestoreState(st)
 	for i, ia := range ias {
-		if err := restoreServerState(&snapReader{b: secs[2+i]}, a.servers[ia]); err != nil {
+		if err := restoreServerState(secs[2+i], a.servers[ia]); err != nil {
 			return nil, err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"scionmpr/internal/chaos"
+	"scionmpr/internal/codec"
 	"scionmpr/internal/core"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
@@ -197,6 +198,20 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Resume(cfg, snap[:len(snap)-3]); err == nil {
 		t.Error("truncated snapshot: want error")
+	}
+	// A section cut short but re-framed with a valid CRC passes the
+	// framing; its own decoder must reject it.
+	header, rest, err := codec.NextFrame(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	network, rest, err := codec.NextFrame(rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := codec.AppendFrame(codec.AppendFrame(nil, header), network[:len(network)-8])
+	if _, err := Resume(cfg, append(short, rest...)); err == nil {
+		t.Error("truncated network section: want error")
 	}
 	bad := append([]byte(nil), snap...)
 	bad[len(bad)-1] ^= 0xff

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"scionmpr/internal/addr"
+	"scionmpr/internal/codec"
 	"scionmpr/internal/topology"
 )
 
@@ -92,105 +93,42 @@ func (e *Engine) AppendState(dst []byte) []byte {
 // freshly constructed engine. Call it before Apply, which registers the
 // surviving fault-plan actions.
 func (e *Engine) RestoreState(b []byte) error {
-	off := 0
-	fail := func(what string) error {
-		return fmt.Errorf("chaos: engine state truncated in %s at offset %d", what, off)
+	r := codec.NewReader(b)
+	n := r.Count(4 + 4)
+	for i := 0; i < n; i++ {
+		id, depth := topology.LinkID(r.U32()), int(r.U32())
+		e.failDepth[id] = depth
 	}
-	u32 := func() (uint32, bool) {
-		if off+4 > len(b) {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint32(b[off:])
-		off += 4
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if off+8 > len(b) {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint64(b[off:])
-		off += 8
-		return v, true
-	}
-
-	n, ok := u32()
-	if !ok {
-		return fail("failDepth")
-	}
-	for i := uint32(0); i < n; i++ {
-		id, ok1 := u32()
-		depth, ok2 := u32()
-		if !ok1 || !ok2 {
-			return fail("failDepth")
-		}
-		e.failDepth[topology.LinkID(id)] = int(depth)
-	}
-
-	if n, ok = u32(); !ok {
-		return fail("grayRates")
-	}
-	for i := uint32(0); i < n; i++ {
-		id, ok1 := u32()
-		m, ok2 := u32()
-		if !ok1 || !ok2 {
-			return fail("grayRates")
-		}
-		rates := make([]float64, m)
+	n = r.Count(4 + 4)
+	for i := 0; i < n; i++ {
+		id := topology.LinkID(r.U32())
+		rates := make([]float64, r.Count(8))
 		for j := range rates {
-			bits, ok := u64()
-			if !ok {
-				return fail("grayRates")
-			}
-			rates[j] = math.Float64frombits(bits)
+			rates[j] = math.Float64frombits(r.U64())
 		}
-		e.grayRates[topology.LinkID(id)] = rates
+		e.grayRates[id] = rates
 	}
-
-	if n, ok = u32(); !ok {
-		return fail("spikes")
-	}
-	for i := uint32(0); i < n; i++ {
-		id, ok1 := u32()
-		m, ok2 := u32()
-		if !ok1 || !ok2 {
-			return fail("spikes")
-		}
-		ds := make([]time.Duration, m)
+	n = r.Count(4 + 4)
+	for i := 0; i < n; i++ {
+		id := topology.LinkID(r.U32())
+		ds := make([]time.Duration, r.Count(8))
 		for j := range ds {
-			v, ok := u64()
-			if !ok {
-				return fail("spikes")
-			}
-			ds[j] = time.Duration(v)
+			ds[j] = time.Duration(r.U64())
 		}
-		e.spikes[topology.LinkID(id)] = ds
+		e.spikes[id] = ds
 	}
-
-	if n, ok = u32(); !ok {
-		return fail("crashDepth")
+	n = r.Count(8 + 4)
+	for i := 0; i < n; i++ {
+		ia, depth := addr.IAFromUint64(r.U64()), int(r.U32())
+		e.crashDepth[ia] = depth
 	}
-	for i := uint32(0); i < n; i++ {
-		ia, ok1 := u64()
-		depth, ok2 := u32()
-		if !ok1 || !ok2 {
-			return fail("crashDepth")
-		}
-		e.crashDepth[addr.IAFromUint64(ia)] = int(depth)
+	n = r.Count(4 + 8)
+	for i := 0; i < n; i++ {
+		k, count := Kind(r.U32()), r.U64()
+		e.Injections[k] = count
 	}
-
-	if n, ok = u32(); !ok {
-		return fail("injections")
-	}
-	for i := uint32(0); i < n; i++ {
-		k, ok1 := u32()
-		count, ok2 := u64()
-		if !ok1 || !ok2 {
-			return fail("injections")
-		}
-		e.Injections[Kind(k)] = count
-	}
-	if off != len(b) {
-		return fmt.Errorf("chaos: engine state has %d trailing bytes", len(b)-off)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("chaos: engine state: %w", err)
 	}
 	return nil
 }

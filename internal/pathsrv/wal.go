@@ -3,9 +3,9 @@ package pathsrv
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"scionmpr/internal/addr"
+	"scionmpr/internal/codec"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
 )
@@ -18,11 +18,11 @@ import (
 //
 // # Frame format
 //
-// Each record is length-prefixed and checksummed:
+// Each record is one frame of internal/codec, which owns the framing
+// (u32 payload length, u32 CRC-32 (IEEE) of the payload, then the
+// payload). A record's payload is
 //
-//	u32  payload length n
-//	u32  CRC-32 (IEEE) of the payload
-//	n bytes payload: kind (u8) | virtual time (u64) | body
+//	kind (u8) | virtual time (u64) | body
 //
 // All integers are big-endian. The body encodings are fixed-width
 // except segments, which reuse the PCB wire codec (seg.Encode/Decode),
@@ -70,15 +70,9 @@ const (
 	walCheckpoint = 5
 )
 
-const walFrameHeader = 8 // u32 length + u32 CRC
-
 // appendFrame frames payload (already kind|time|body) onto the log.
 func (w *WAL) appendFrame(payload []byte) {
-	var hdr [walFrameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, payload...)
+	w.buf = codec.AppendFrame(w.buf, payload)
 	w.Records++
 }
 
@@ -240,44 +234,40 @@ func Recover(data []byte, cfg Config) (*Service, RecoverStats) {
 	cfg.Telemetry = nil
 	svc := New(cfg)
 	var st RecoverStats
-	off := 0
-	for {
-		if len(data)-off < walFrameHeader {
+	rest := data
+	for len(rest) > 0 {
+		payload, next, err := codec.NextFrame(rest)
+		if err != nil {
 			break
 		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		sum := binary.BigEndian.Uint32(data[off+4 : off+8])
-		if n < 9 || n > len(data)-off-walFrameHeader {
-			break
-		}
-		payload := data[off+walFrameHeader : off+walFrameHeader+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		next, ok := applyRecord(svc, payload, cfg)
+		loaded, ok := applyRecord(svc, payload, cfg)
 		if !ok {
 			break
 		}
-		svc = next
+		svc = loaded
 		st.Records++
 		if payload[0] == walCheckpoint {
 			st.Checkpoints++
 		}
-		off += walFrameHeader + n
+		rest = next
 	}
-	st.TruncatedBytes = len(data) - off
+	st.TruncatedBytes = len(rest)
 	st.Truncated = st.TruncatedBytes > 0
 	return svc, st
 }
 
 // applyRecord applies one validated frame payload. For checkpoint
 // records it returns a freshly loaded service; for mutations it applies
-// to svc in place. ok is false when the body does not decode — treated
+// to svc in place. ok is false when the payload does not decode — treated
 // exactly like a CRC failure by Recover.
 func applyRecord(svc *Service, payload []byte, cfg Config) (*Service, bool) {
+	if len(payload) < 9 {
+		return svc, false
+	}
 	kind := payload[0]
 	now := sim.Time(binary.BigEndian.Uint64(payload[1:9]))
 	body := payload[9:]
+	r := codec.NewReader(body)
 	switch kind {
 	case walRegister:
 		p, err := seg.Decode(body)
@@ -288,25 +278,19 @@ func applyRecord(svc *Service, payload []byte, cfg Config) (*Service, bool) {
 		// counted and ignored when journaled; replay mirrors that.
 		_ = svc.Register(now, p)
 	case walRevoke:
-		if len(body) != 18 {
+		link, ttl := readLink(&r), sim.Time(r.U64())
+		if r.Done() != nil {
 			return svc, false
 		}
-		link := seg.LinkKey{
-			IA: addr.IAFromUint64(binary.BigEndian.Uint64(body[0:8])),
-			If: addr.IfID(binary.BigEndian.Uint16(body[8:10])),
-		}
-		svc.RevokeLink(now, link, sim.Time(binary.BigEndian.Uint64(body[10:18])))
+		svc.RevokeLink(now, link, ttl)
 	case walReinstate:
-		if len(body) != 10 {
+		link := readLink(&r)
+		if r.Done() != nil {
 			return svc, false
-		}
-		link := seg.LinkKey{
-			IA: addr.IAFromUint64(binary.BigEndian.Uint64(body[0:8])),
-			If: addr.IfID(binary.BigEndian.Uint16(body[8:10])),
 		}
 		svc.ReinstateLink(now, link)
 	case walPublish:
-		if len(body) != 0 {
+		if r.Done() != nil {
 			return svc, false
 		}
 		svc.Publish(now)
@@ -322,63 +306,19 @@ func applyRecord(svc *Service, payload []byte, cfg Config) (*Service, bool) {
 	return svc, true
 }
 
-// ckptReader is a bounds-checked big-endian reader for checkpoint
-// bodies; any overrun latches an error instead of panicking.
-type ckptReader struct {
-	b   []byte
-	off int
-	err error
+// linkLen is the encoded size of a seg.LinkKey: u64 IA | u16 If.
+const linkLen = 8 + 2
+
+func readLink(r *codec.Reader) seg.LinkKey {
+	return seg.LinkKey{IA: addr.IAFromUint64(r.U64()), If: addr.IfID(r.U16())}
 }
 
-func (r *ckptReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
+func readPCB(r *codec.Reader) (*seg.PCB, error) {
+	body := r.Bytes(int(r.U32()))
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if n < 0 || len(r.b)-r.off < n {
-		r.err = fmt.Errorf("pathsrv: checkpoint truncated at %d", r.off)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *ckptReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *ckptReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *ckptReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *ckptReader) pcb() *seg.PCB {
-	n := int(r.u32())
-	body := r.take(n)
-	if r.err != nil {
-		return nil
-	}
-	p, err := seg.Decode(body)
-	if err != nil {
-		r.err = err
-		return nil
-	}
-	return p
+	return seg.Decode(body)
 }
 
 // loadCheckpoint rebuilds a Service from a checkpoint body. The
@@ -386,11 +326,11 @@ func (r *ckptReader) pcb() *seg.PCB {
 // per-shard snapshots with their epochs, revocations, link-shard
 // bookkeeping, the dirty mask and the epoch counter.
 func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
-	r := &ckptReader{b: body}
-	epoch := r.u64()
-	nshards := r.u32()
-	if r.err != nil {
-		return nil, r.err
+	r := codec.NewReader(body)
+	epoch := r.U64()
+	nshards := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("pathsrv: checkpoint: %w", err)
 	}
 	if nshards == 0 || nshards > 64 {
 		return nil, fmt.Errorf("pathsrv: checkpoint shard count %d", nshards)
@@ -398,87 +338,67 @@ func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 	cfg.Shards = int(nshards)
 	svc := New(cfg)
 	svc.epoch = epoch
-	for sh := uint32(0); sh < nshards && r.err == nil; sh++ {
-		snapEpoch := r.u64()
-		shardMin := sim.Time(r.u64())
-		if r.u64() != 0 {
+	for sh := uint32(0); sh < nshards; sh++ {
+		snapEpoch := r.U64()
+		shardMin := sim.Time(r.U64())
+		if r.U64() != 0 {
 			svc.dirty |= 1 << sh
 		}
-		npairs := int(r.u32())
+		// A pair is at least its key, minExpiry and two u16 counts.
+		npairs := r.Count(8 + 8 + 8 + 2 + 2)
 		pairs := make(map[pairKey]pairEntry, npairs)
-		for i := 0; i < npairs && r.err == nil; i++ {
+		for i := 0; i < npairs; i++ {
 			key := pairKey{
-				src: addr.IAFromUint64(r.u64()),
-				dst: addr.IAFromUint64(r.u64()),
+				src: addr.IAFromUint64(r.U64()),
+				dst: addr.IAFromUint64(r.U64()),
 			}
-			pairMin := sim.Time(r.u64())
-			nmaster := int(r.u16())
+			pairMin := sim.Time(r.U64())
+			nmaster := int(r.U16())
 			list := make([]*seg.PCB, 0, nmaster)
-			for j := 0; j < nmaster && r.err == nil; j++ {
-				if p := r.pcb(); p != nil {
-					list = append(list, p)
+			for j := 0; j < nmaster; j++ {
+				p, err := readPCB(&r)
+				if err != nil {
+					return nil, fmt.Errorf("pathsrv: checkpoint: %w", err)
 				}
-			}
-			if r.err != nil {
-				break
+				list = append(list, p)
 			}
 			svc.master[sh][key] = list
-			nvis := int(r.u16())
+			nvis := int(r.U16())
 			if nvis == 0 {
 				continue
 			}
 			visible := make([]*seg.PCB, 0, nvis)
-			for j := 0; j < nvis && r.err == nil; j++ {
-				idx := r.u16()
+			for j := 0; j < nvis; j++ {
+				idx := r.U16()
 				if idx == 0xffff {
-					if p := r.pcb(); p != nil {
-						visible = append(visible, p)
+					p, err := readPCB(&r)
+					if err != nil {
+						return nil, fmt.Errorf("pathsrv: checkpoint: %w", err)
 					}
+					visible = append(visible, p)
 					continue
 				}
 				if int(idx) >= len(list) {
-					r.err = fmt.Errorf("pathsrv: checkpoint visible index %d of %d", idx, len(list))
-					break
+					return nil, fmt.Errorf("pathsrv: checkpoint visible index %d of %d", idx, len(list))
 				}
 				visible = append(visible, list[idx])
 			}
-			if r.err != nil {
-				break
-			}
 			pairs[key] = pairEntry{segs: visible, minExpiry: pairMin}
-		}
-		if r.err != nil {
-			break
 		}
 		svc.snaps[sh].Store(&snapshot{epoch: snapEpoch, pairs: pairs, minExpiry: shardMin})
 	}
-	nrev := int(r.u32())
-	for i := 0; i < nrev && r.err == nil; i++ {
-		lk := seg.LinkKey{
-			IA: addr.IAFromUint64(r.u64()),
-			If: addr.IfID(r.u16()),
-		}
-		exp := sim.Time(r.u64())
-		if r.err == nil {
-			svc.revoked[lk] = exp
-		}
+	nrev := r.Count(linkLen + 8)
+	for i := 0; i < nrev; i++ {
+		lk := readLink(&r)
+		svc.revoked[lk] = sim.Time(r.U64())
 	}
-	nlinks := int(r.u32())
-	for i := 0; i < nlinks && r.err == nil; i++ {
-		lk := seg.LinkKey{
-			IA: addr.IAFromUint64(r.u64()),
-			If: addr.IfID(r.u16()),
-		}
-		mask := r.u64()
-		if r.err == nil {
-			svc.linkShards[lk] = mask
-		}
+	nlinks := r.Count(linkLen + 8)
+	for i := 0; i < nlinks; i++ {
+		lk := readLink(&r)
+		svc.linkShards[lk] = r.U64()
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("pathsrv: checkpoint has %d trailing bytes", len(body)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("pathsrv: checkpoint: %w", err)
 	}
 	return svc, nil
 }

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"scionmpr/internal/addr"
+	"scionmpr/internal/codec"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/trust"
 )
@@ -161,10 +162,10 @@ func (p *PCB) AppendEncode(buf []byte) []byte {
 // signatures, and optionally one extra unsigned entry — which is exactly
 // the byte string entry n's signature covers.
 func (p *PCB) appendBody(buf []byte, n int, extra *ASEntry) []byte {
-	buf = appendU16(buf, p.Info.SegID)
-	buf = appendU64(buf, p.Info.Origin.Uint64())
-	buf = appendU64(buf, uint64(p.Info.Timestamp))
-	buf = appendU64(buf, uint64(p.Info.Expiry))
+	buf = binary.BigEndian.AppendUint16(buf, p.Info.SegID)
+	buf = binary.BigEndian.AppendUint64(buf, p.Info.Origin.Uint64())
+	buf = binary.BigEndian.AppendUint64(buf, uint64(p.Info.Timestamp))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(p.Info.Expiry))
 	count := n
 	if extra != nil {
 		count++
@@ -180,19 +181,19 @@ func (p *PCB) appendBody(buf []byte, n int, extra *ASEntry) []byte {
 }
 
 func appendEntry(buf []byte, e *ASEntry, withSig bool) []byte {
-	buf = appendU64(buf, e.Local.Uint64())
-	buf = appendU64(buf, e.Next.Uint64())
-	buf = appendU16(buf, uint16(e.Hop.ConsIngress))
-	buf = appendU16(buf, uint16(e.Hop.ConsEgress))
+	buf = binary.BigEndian.AppendUint64(buf, e.Local.Uint64())
+	buf = binary.BigEndian.AppendUint64(buf, e.Next.Uint64())
+	buf = binary.BigEndian.AppendUint16(buf, uint16(e.Hop.ConsIngress))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(e.Hop.ConsEgress))
 	buf = append(buf, e.Hop.ExpTime)
 	buf = append(buf, e.Hop.MAC[:]...)
-	buf = appendU16(buf, e.MTU)
+	buf = binary.BigEndian.AppendUint16(buf, e.MTU)
 	buf = append(buf, byte(len(e.Peers)))
 	for i := range e.Peers {
 		pe := &e.Peers[i]
-		buf = appendU64(buf, pe.Peer.Uint64())
-		buf = appendU16(buf, uint16(pe.PeerIf))
-		buf = appendU16(buf, uint16(pe.LocalIf))
+		buf = binary.BigEndian.AppendUint64(buf, pe.Peer.Uint64())
+		buf = binary.BigEndian.AppendUint16(buf, uint16(pe.PeerIf))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(pe.LocalIf))
 		buf = append(buf, pe.HopMAC[:]...)
 	}
 	if withSig {
@@ -201,107 +202,43 @@ func appendEntry(buf []byte, e *ASEntry, withSig bool) []byte {
 	return buf
 }
 
-func appendU16(buf []byte, v uint16) []byte {
-	return append(buf, byte(v>>8), byte(v))
-}
-
-func appendU64(buf []byte, v uint64) []byte {
-	return append(buf,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
 // Decode parses a PCB encoded by Encode. Signatures are assumed to be
 // trust.SignatureLen bytes when present; entries written without a
 // signature cannot be distinguished on the wire, so Decode requires every
 // entry to be signed (which beaconing guarantees).
 func Decode(b []byte) (*PCB, error) {
-	r := &reader{b: b}
+	r := codec.NewReader(b)
 	p := &PCB{}
-	p.Info.SegID = r.u16()
-	p.Info.Origin = addr.IAFromUint64(r.u64())
-	p.Info.Timestamp = sim.Time(r.u64())
-	p.Info.Expiry = sim.Time(r.u64())
-	n := int(r.u8())
+	p.Info.SegID = r.U16()
+	p.Info.Origin = addr.IAFromUint64(r.U64())
+	p.Info.Timestamp = sim.Time(r.U64())
+	p.Info.Expiry = sim.Time(r.U64())
+	n := int(r.U8())
 	for i := 0; i < n; i++ {
 		var e ASEntry
-		e.Local = addr.IAFromUint64(r.u64())
-		e.Next = addr.IAFromUint64(r.u64())
-		e.Hop.ConsIngress = addr.IfID(r.u16())
-		e.Hop.ConsEgress = addr.IfID(r.u16())
-		e.Hop.ExpTime = r.u8()
-		r.bytes(e.Hop.MAC[:])
-		e.MTU = r.u16()
-		np := int(r.u8())
+		e.Local = addr.IAFromUint64(r.U64())
+		e.Next = addr.IAFromUint64(r.U64())
+		e.Hop.ConsIngress = addr.IfID(r.U16())
+		e.Hop.ConsEgress = addr.IfID(r.U16())
+		e.Hop.ExpTime = r.U8()
+		copy(e.Hop.MAC[:], r.Bytes(MACLen))
+		e.MTU = r.U16()
+		np := int(r.U8())
 		for j := 0; j < np; j++ {
 			var pe PeerEntry
-			pe.Peer = addr.IAFromUint64(r.u64())
-			pe.PeerIf = addr.IfID(r.u16())
-			pe.LocalIf = addr.IfID(r.u16())
-			r.bytes(pe.HopMAC[:])
+			pe.Peer = addr.IAFromUint64(r.U64())
+			pe.PeerIf = addr.IfID(r.U16())
+			pe.LocalIf = addr.IfID(r.U16())
+			copy(pe.HopMAC[:], r.Bytes(MACLen))
 			e.Peers = append(e.Peers, pe)
 		}
-		e.Signature = make([]byte, trust.SignatureLen)
-		r.bytes(e.Signature)
+		e.Signature = append([]byte(nil), r.Bytes(trust.SignatureLen)...)
 		p.ASEntries = append(p.ASEntries, e)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("seg: decoding PCB: %w", r.err)
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("seg: decoding PCB: %d trailing bytes", len(b)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("seg: decoding PCB: %w", err)
 	}
 	return p, nil
-}
-
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.b) {
-		r.err = fmt.Errorf("truncated at offset %d (need %d of %d)", r.off, n, len(r.b))
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *reader) bytes(dst []byte) {
-	b := r.take(len(dst))
-	if b != nil {
-		copy(dst, b)
-	}
 }
 
 // encBuf pools scratch buffers for signature bodies, which are built,

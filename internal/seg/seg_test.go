@@ -122,6 +122,43 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExtendInternedMatchesExtend checks the pooled, interned extension
+// path against plain Extend: the same wire bytes and identity caches,
+// also when it reuses a recycled carcass and a re-initialized base.
+func TestExtendInternedMatchesExtend(t *testing.T) {
+	inf := infra(t)
+	a1 := addr.MustIA(1, 0xff00_0000_0101)
+	a3 := addr.MustIA(1, 0xff00_0000_0103)
+	a5 := addr.MustIA(1, 0xff00_0000_0105)
+	must := func(p *PCB, err error) *PCB {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	same := func(got, want *PCB) {
+		t.Helper()
+		if enc := got.AppendEncode([]byte{0xee}); string(enc[1:]) != string(want.Encode()) {
+			t.Fatal("interned extension encodes differently")
+		}
+		if got.HopsKey() != want.HopsKey() || len(got.Links()) != len(want.Links()) {
+			t.Fatal("interned extension has different identity caches")
+		}
+	}
+	var it Interner
+	base := NewPCB(a1, 7, 0, 6*hour)
+	for round := 0; round < 3; round++ {
+		base.Reinit(uint16(7+round), sim.Time(round)*hour, 6*hour)
+		want1 := must(base.Extend(inf.SignerFor(a1), a3, 0, 2, nil, 1472))
+		same(must(base.ExtendInterned(&it, inf.SignerFor(a1), a3, 0, 2, nil, 1472)), want1)
+		want2 := must(want1.Extend(inf.SignerFor(a3), a5, 1, 2, nil, 1472))
+		got2 := must(want1.ExtendInterned(&it, inf.SignerFor(a3), a5, 1, 2, nil, 1472))
+		same(got2, want2)
+		Recycle(got2)
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	inf := infra(t)
 	p := buildPCB(t, inf)

@@ -20,6 +20,7 @@ scionmpr/internal/beacon 90
 scionmpr/internal/bgp 87
 scionmpr/internal/bgpsec 88
 scionmpr/internal/chaos 59
+scionmpr/internal/codec 95
 scionmpr/internal/combinator 89
 scionmpr/internal/core 63
 scionmpr/internal/dataplane 80
@@ -29,7 +30,7 @@ scionmpr/internal/graphalg 97
 scionmpr/internal/metrics 95
 scionmpr/internal/pathdb 83
 scionmpr/internal/pathsrv 91
-scionmpr/internal/seg 77
+scionmpr/internal/seg 93
 scionmpr/internal/sig 93
 scionmpr/internal/slayers 88
 scionmpr/internal/sim 77
